@@ -9,9 +9,7 @@
 
 #include "api/registry.h"
 #include "baselines/combination.h"
-#include "core/usim.h"
 #include "join/join.h"
-#include "util/parallel.h"
 #include "util/timer.h"
 
 namespace aujoin {
@@ -66,57 +64,22 @@ class UnifiedAlgorithm final : public JoinAlgorithm {
     stats->candidates = filtered.candidates.size();
     stats->avg_signature_pebbles = filtered.avg_signature_pebbles;
 
-    // Verify in sorted batches: each batch's survivors are flushed to the
-    // sink before the next batch starts, so peak memory is bounded by the
-    // batch size and the emission order is globally sorted. Per-worker
-    // computers (and their gram caches) persist across batches —
-    // streaming must not cost cache warmth relative to the one-shot
-    // VerifyCandidates path. MsimEvaluator is not thread-safe, hence one
-    // computer per worker.
-    std::sort(filtered.candidates.begin(), filtered.candidates.end());
-
-    UsimOptions usim_options = options.usim;
-    usim_options.msim = join_context.msim_options();
-    const auto& s_records = join_context.s_records();
-    const auto& t_records = join_context.t_records();
-    const int workers = ResolveThreads(context.num_threads);
-    std::vector<std::unique_ptr<UsimComputer>> computers(workers);
-    for (auto& computer : computers) {
-      computer = std::make_unique<UsimComputer>(join_context.knowledge(),
-                                                usim_options);
-    }
-
+    // Verify in batches of the (s, t)-sorted candidates: each batch's
+    // survivors are flushed to the sink before the next batch starts, so
+    // peak memory is bounded by the batch size and the emission order is
+    // globally sorted. The verifier's per-worker computers (and their
+    // gram caches) persist across batches — streaming must not cost
+    // cache warmth relative to UnifiedJoin's single Verify call.
+    CandidateVerifier verifier(join_context, options.usim, options.theta,
+                               context.cache_evict_threshold,
+                               context.num_threads);
     const size_t batch = std::max<size_t>(1, context.stream_batch_size);
     for (size_t begin = 0; begin < filtered.candidates.size();
          begin += batch) {
       const size_t end = std::min(filtered.candidates.size(), begin + batch);
       WallTimer batch_timer;
-      std::vector<std::vector<std::pair<uint32_t, uint32_t>>> worker_pairs(
-          workers);
-      ParallelFor(
-          end - begin, context.num_threads,
-          [&](size_t lo, size_t hi, int worker) {
-            UsimComputer& computer = *computers[worker];
-            for (size_t c = lo; c < hi; ++c) {
-              const auto& [si, ti] = filtered.candidates[begin + c];
-              if (computer.evaluator()->CacheSize() >
-                  context.cache_evict_threshold) {
-                computer.evaluator()->ClearCache();
-              }
-              // Verification only needs the predicate, so Algorithm 1
-              // may stop as soon as theta is reached.
-              double sim = computer.Approx(s_records[si], t_records[ti],
-                                           options.theta);
-              if (sim >= options.theta) {
-                worker_pairs[worker].emplace_back(si, ti);
-              }
-            }
-          });
-      std::vector<std::pair<uint32_t, uint32_t>> verified;
-      for (const auto& wp : worker_pairs) {
-        verified.insert(verified.end(), wp.begin(), wp.end());
-      }
-      std::sort(verified.begin(), verified.end());
+      std::vector<std::pair<uint32_t, uint32_t>> verified =
+          verifier.Verify(filtered.candidates, begin, end);
       stats->verify_seconds += batch_timer.Seconds();
       if (!EmitPairs(verified, sink, stats)) break;
     }

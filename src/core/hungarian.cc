@@ -2,8 +2,23 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 namespace aujoin {
+
+namespace {
+
+// The solver's auxiliary arrays, reused across calls on one thread: the
+// verify hot path solves many tiny matrices per candidate pair, and
+// fresh potentials / per-row minv and used arrays were an allocation
+// per row of every call.
+struct HungarianScratch {
+  std::vector<double> u, v, minv;
+  std::vector<size_t> p, way;
+  std::vector<char> used;
+};
+
+}  // namespace
 
 // Classic O(n^3) Hungarian algorithm with potentials, written for
 // minimisation on a square cost matrix; we feed it costs = -weights on the
@@ -23,15 +38,25 @@ double MaxWeightBipartiteMatching(const double* w, size_t rows, size_t cols,
     return 0.0;
   };
 
-  std::vector<double> u(n + 1, 0.0), v(n + 1, 0.0);
-  std::vector<size_t> p(n + 1, 0);     // p[j] = row matched to column j
-  std::vector<size_t> way(n + 1, 0);   // alternating-path back-pointers
+  thread_local HungarianScratch scratch;
+  std::vector<double>& u = scratch.u;
+  std::vector<double>& v = scratch.v;
+  std::vector<double>& minv = scratch.minv;
+  std::vector<size_t>& p = scratch.p;      // p[j] = row matched to column j
+  std::vector<size_t>& way = scratch.way;  // alternating-path back-pointers
+  std::vector<char>& used = scratch.used;
+  u.assign(n + 1, 0.0);
+  v.assign(n + 1, 0.0);
+  p.assign(n + 1, 0);
+  way.assign(n + 1, 0);
+  minv.resize(n + 1);
+  used.resize(n + 1);
 
   for (size_t i = 1; i <= n; ++i) {
     p[0] = i;
     size_t j0 = 0;
-    std::vector<double> minv(n + 1, kInf);
-    std::vector<char> used(n + 1, 0);
+    std::fill(minv.begin(), minv.end(), kInf);
+    std::fill(used.begin(), used.end(), 0);
     do {
       used[j0] = 1;
       size_t i0 = p[j0], j1 = 0;

@@ -23,7 +23,9 @@ double MaxWeightBipartiteMatching(const std::vector<std::vector<double>>& w,
 /// The same matching over a flat row-major matrix (`w[i * cols + j]`) —
 /// the allocation-free form the verify hot path feeds from a reused
 /// scratch buffer instead of a fresh vector-of-vectors per candidate
-/// pair. Identical results to the 2-D overload.
+/// pair. The solver's potentials and per-row arrays live in grow-only
+/// thread_local scratch, so steady-state calls allocate nothing.
+/// Identical results to the 2-D overload.
 double MaxWeightBipartiteMatching(const double* w, size_t rows, size_t cols,
                                   std::vector<int>* assignment = nullptr);
 

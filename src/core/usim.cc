@@ -10,35 +10,50 @@ namespace aujoin {
 
 namespace {
 
-// Builds the partition induced by an independent set on one side:
-// the spans of selected vertices plus singletons for uncovered tokens.
-// Returns indexes into `segments`. `singleton_at[pos]` maps a token
-// position to its singleton segment index.
-std::vector<uint32_t> InducedPartition(
-    const std::vector<WellDefinedSegment>& segments, size_t num_tokens,
-    const std::vector<uint32_t>& selected_segments) {
-  std::vector<uint32_t> singleton_at(num_tokens, UINT32_MAX);
+// Marks a memo cell whose msim is not evaluated yet (msim is >= 0).
+constexpr double kUnknownMsim = -1.0;
+
+// Builds into `partition` the partition induced by an independent set
+// on one side: the spans of selected vertices plus singletons for
+// uncovered tokens, as indexes into `segments`. `singleton_at` and
+// `covered` are caller-owned scratch.
+void InducedPartition(const std::vector<WellDefinedSegment>& segments,
+                      size_t num_tokens,
+                      const std::vector<uint32_t>& selected_segments,
+                      std::vector<uint32_t>* singleton_at,
+                      std::vector<char>* covered,
+                      std::vector<uint32_t>* partition) {
+  singleton_at->assign(num_tokens, UINT32_MAX);
   for (uint32_t i = 0; i < segments.size(); ++i) {
     if (segments[i].span.SingleToken()) {
-      singleton_at[segments[i].span.begin] = i;
+      (*singleton_at)[segments[i].span.begin] = i;
     }
   }
-  std::vector<char> covered(num_tokens, 0);
-  std::vector<uint32_t> partition;
+  covered->assign(num_tokens, 0);
+  partition->clear();
   for (uint32_t seg_idx : selected_segments) {
-    partition.push_back(seg_idx);
+    partition->push_back(seg_idx);
     for (uint32_t p = segments[seg_idx].span.begin;
          p < segments[seg_idx].span.end; ++p) {
-      covered[p] = 1;
+      (*covered)[p] = 1;
     }
   }
   for (size_t p = 0; p < num_tokens; ++p) {
-    if (!covered[p]) partition.push_back(singleton_at[p]);
+    if (!(*covered)[p]) partition->push_back((*singleton_at)[p]);
   }
-  return partition;
 }
 
 }  // namespace
+
+void UsimComputer::ResetMemo(size_t s_count, size_t t_count,
+                             const PairGraph* g) {
+  memo_cols_ = t_count;
+  memo_.assign(s_count * t_count, kUnknownMsim);
+  if (g == nullptr) return;
+  for (const PairVertex& v : g->vertices) {
+    memo_[v.s_segment * memo_cols_ + v.t_segment] = v.weight;
+  }
+}
 
 double UsimComputer::SimOfPartitions(
     const Record& s, const Record& t,
@@ -46,16 +61,22 @@ double UsimComputer::SimOfPartitions(
     const std::vector<WellDefinedSegment>& t_segments,
     const std::vector<uint32_t>& ps, const std::vector<uint32_t>& pt) {
   if (ps.empty() || pt.empty()) return 0.0;
-  // The O(|ps|·|pt|) msim matrix lands in the computer's reused flat
-  // scratch (row-major) and feeds the flat Hungarian overload — no
-  // per-pair matrix allocation on the verify hot path.
+  // Gather the O(|ps|·|pt|) msim matrix from the memo, evaluating only
+  // the cells no earlier partition of this candidate pair touched, into
+  // the computer's reused flat scratch (row-major) for the flat
+  // Hungarian overload — no per-pair matrix allocation on the verify
+  // hot path.
   if (w_scratch_.size() < ps.size() * pt.size()) {
     w_scratch_.resize(ps.size() * pt.size());
   }
   for (size_t i = 0; i < ps.size(); ++i) {
+    double* memo_row = memo_.data() + ps[i] * memo_cols_;
     for (size_t j = 0; j < pt.size(); ++j) {
-      w_scratch_[i * pt.size() + j] =
-          evaluator_.Msim(s, s_segments[ps[i]], t, t_segments[pt[j]]);
+      double& cell = memo_row[pt[j]];
+      if (cell < 0.0) {
+        cell = evaluator_.Msim(s, s_segments[ps[i]], t, t_segments[pt[j]]);
+      }
+      w_scratch_[i * pt.size() + j] = cell;
     }
   }
   double matching =
@@ -63,19 +84,25 @@ double UsimComputer::SimOfPartitions(
   return matching / static_cast<double>(std::max(ps.size(), pt.size()));
 }
 
+double UsimComputer::ScoreIndependentSet(const Record& s, const Record& t,
+                                         const PairGraph& g,
+                                         const std::vector<uint32_t>& mis) {
+  selected_.clear();
+  for (uint32_t v : mis) selected_.push_back(g.vertices[v].s_segment);
+  InducedPartition(g.s_segments, s.num_tokens(), selected_, &singleton_at_,
+                   &covered_, &ps_);
+  selected_.clear();
+  for (uint32_t v : mis) selected_.push_back(g.vertices[v].t_segment);
+  InducedPartition(g.t_segments, t.num_tokens(), selected_, &singleton_at_,
+                   &covered_, &pt_);
+  return SimOfPartitions(s, t, g.s_segments, g.t_segments, ps_, pt_);
+}
+
 double UsimComputer::GetSim(const Record& s, const Record& t,
                             const PairGraph& g,
                             const std::vector<uint32_t>& mis) {
-  std::vector<uint32_t> s_selected, t_selected;
-  for (uint32_t v : mis) {
-    s_selected.push_back(g.vertices[v].s_segment);
-    t_selected.push_back(g.vertices[v].t_segment);
-  }
-  std::vector<uint32_t> ps =
-      InducedPartition(g.s_segments, s.num_tokens(), s_selected);
-  std::vector<uint32_t> pt =
-      InducedPartition(g.t_segments, t.num_tokens(), t_selected);
-  return SimOfPartitions(s, t, g.s_segments, g.t_segments, ps, pt);
+  ResetMemo(g.s_segments.size(), g.t_segments.size(), &g);
+  return ScoreIndependentSet(s, t, g, mis);
 }
 
 double UsimComputer::Approx(const Record& s, const Record& t,
@@ -83,6 +110,7 @@ double UsimComputer::Approx(const Record& s, const Record& t,
   if (s.tokens.empty() || t.tokens.empty()) return 0.0;
   PairGraph g = BuildPairGraph(s, t, &evaluator_, options_.graph);
   std::vector<uint32_t> a = SquareImp(g, options_.squareimp);
+  // SquareImp's set and every claw move below score through one memo.
   double best = GetSim(s, t, g, a);
   if (!options_.enable_improvement || best >= early_exit_threshold) {
     return best;
@@ -160,7 +188,7 @@ double UsimComputer::Approx(const Record& s, const Record& t,
       for (uint32_t v = 0; v < n; ++v) {
         if (next[v]) candidate.push_back(v);
       }
-      double sim = GetSim(s, t, g, candidate);
+      double sim = ScoreIndependentSet(s, t, g, candidate);
       if (sim > best_candidate) {
         best_candidate = sim;
         best_set = std::move(candidate);
@@ -240,6 +268,7 @@ UsimComputer::ExactResult UsimComputer::Exact(const Record& s, const Record& t,
                                     limits.max_partitions_per_string,
                                     &trunc_t);
   res.exact = !(trunc_s || trunc_t);
+  ResetMemo(s_segments.size(), t_segments.size(), nullptr);
 
   size_t pairs = 0;
   for (const auto& ps : ps_all) {

@@ -41,6 +41,15 @@ struct ExactOptions {
 /// `Exact` enumerates all well-defined partition pairs (worst-case
 /// exponential; NP-hard in general, Theorem 1).
 ///
+/// Every path scores partitions through one msim memo: a flat
+/// |S segments| x |T segments| matrix in the computer's scratch, filled
+/// from the pair graph's vertex weights and lazily for any other cell,
+/// so each segment-pair msim is evaluated at most once per candidate
+/// pair however many partitions Algorithm 1 or Exact score. The memo is
+/// valid for one candidate pair only: Approx, GetSim and Exact each
+/// reset it on entry. msim is a pure function of its two segments, so
+/// memoised results are bit-identical to evaluating every cell afresh.
+///
 /// Not thread-safe (shares an MsimEvaluator cache); use one per thread.
 class UsimComputer {
  public:
@@ -68,7 +77,9 @@ class UsimComputer {
   /// SIM(PS, PT) of Eq. (6) for the partitions induced by an independent
   /// set `mis` of `g`: segments of the selected vertices plus singleton
   /// segments for uncovered tokens; scored by Hungarian matching over msim
-  /// and normalised by max(|PS|, |PT|). Exposed for tests and benches.
+  /// and normalised by max(|PS|, |PT|). `g` must come from BuildPairGraph
+  /// under this computer's msim options: its vertex weights seed the
+  /// memo. Exposed for tests and benches.
   double GetSim(const Record& s, const Record& t, const PairGraph& g,
                 const std::vector<uint32_t>& mis);
 
@@ -76,6 +87,13 @@ class UsimComputer {
   const UsimOptions& options() const { return options_; }
 
  private:
+  /// Starts a candidate pair: every memo cell unknown, then the
+  /// vertex weights of `g` (when given) copied in.
+  void ResetMemo(size_t s_count, size_t t_count, const PairGraph* g);
+  /// GetSim against the current memo (no reset).
+  double ScoreIndependentSet(const Record& s, const Record& t,
+                             const PairGraph& g,
+                             const std::vector<uint32_t>& mis);
   double SimOfPartitions(const Record& s, const Record& t,
                          const std::vector<WellDefinedSegment>& s_segments,
                          const std::vector<WellDefinedSegment>& t_segments,
@@ -84,10 +102,16 @@ class UsimComputer {
 
   UsimOptions options_;
   MsimEvaluator evaluator_;
-  /// Reused flat row-major msim matrix for SimOfPartitions — one
-  /// grow-only buffer per computer (== per verify worker) instead of a
-  /// fresh vector-of-vectors per candidate pair.
+  /// The msim memo, row-major over (S segment, T segment); negative
+  /// cells are not yet evaluated.
+  std::vector<double> memo_;
+  size_t memo_cols_ = 0;
+  /// Reused flat row-major matrix gathered from the memo for one
+  /// partition pair and fed to the flat Hungarian overload.
   std::vector<double> w_scratch_;
+  /// Scratch of the induced-partition construction.
+  std::vector<uint32_t> singleton_at_, selected_, ps_, pt_;
+  std::vector<char> covered_;
 };
 
 /// Enumerates well-defined partitions (Definition 2) of a token sequence of

@@ -162,52 +162,59 @@ JoinContext::FilterOutput JoinContext::RunFilter(
     out.candidates.insert(out.candidates.end(), worker_candidates[w].begin(),
                           worker_candidates[w].end());
   }
+  // Which chunks a worker probed depends on timing; sorting makes the
+  // candidate list (and anything that takes a prefix of it, like the
+  // tuner's calibration sample) independent of the worker split.
+  std::sort(out.candidates.begin(), out.candidates.end());
   out.filter_seconds = timer.Seconds();
   return out;
 }
 
-void VerifyCandidates(
-    const JoinContext& context, const JoinOptions& options,
-    const std::vector<std::pair<uint32_t, uint32_t>>& candidates,
-    JoinResult* result) {
-  WallTimer timer;
-  UsimOptions usim_options = options.usim;
+CandidateVerifier::CandidateVerifier(const JoinContext& context,
+                                     const UsimOptions& usim, double theta,
+                                     size_t cache_evict_threshold,
+                                     int num_threads)
+    : context_(context),
+      theta_(theta),
+      cache_evict_threshold_(cache_evict_threshold) {
+  UsimOptions usim_options = usim;
   usim_options.msim = context.msim_options();
-  const auto& s_records = context.s_records();
-  const auto& t_records = context.t_records();
+  computers_.resize(ResolveThreads(num_threads));
+  for (auto& computer : computers_) {
+    computer = std::make_unique<UsimComputer>(context.knowledge(),
+                                              usim_options);
+  }
+}
 
-  const int workers = ResolveThreads(options.num_threads);
+std::vector<std::pair<uint32_t, uint32_t>> CandidateVerifier::Verify(
+    const std::vector<std::pair<uint32_t, uint32_t>>& candidates,
+    size_t begin, size_t end) {
+  const auto& s_records = context_.s_records();
+  const auto& t_records = context_.t_records();
   std::vector<std::vector<std::pair<uint32_t, uint32_t>>> worker_pairs(
-      workers);
-  ParallelFor(
-      candidates.size(), options.num_threads,
-      [&](size_t begin, size_t end, int worker) {
-        // One computer (and gram cache) per worker; MsimEvaluator is not
-        // thread-safe.
-        UsimComputer computer(context.knowledge(), usim_options);
-        for (size_t c = begin; c < end; ++c) {
-          const auto& [si, ti] = candidates[c];
-          if (computer.evaluator()->CacheSize() >
-              options.cache_evict_threshold) {
-            computer.evaluator()->ClearCache();
-          }
-          // Verification only needs the predicate, so Algorithm 1 may
-          // stop as soon as theta is reached.
-          double sim = computer.Approx(s_records[si], t_records[ti],
-                                       options.theta);
-          if (sim >= options.theta) {
-            worker_pairs[worker].emplace_back(si, ti);
-          }
-        }
-      });
-  for (int w = 0; w < workers; ++w) {
-    result->pairs.insert(result->pairs.end(), worker_pairs[w].begin(),
-                         worker_pairs[w].end());
+      computers_.size());
+  const int workers = static_cast<int>(computers_.size());
+  ParallelFor(end - begin, workers, [&](size_t lo, size_t hi, int worker) {
+    UsimComputer& computer = *computers_[worker];
+    for (size_t c = begin + lo; c < begin + hi; ++c) {
+      const auto& [si, ti] = candidates[c];
+      if (computer.evaluator()->CacheSize() > cache_evict_threshold_) {
+        computer.evaluator()->ClearCache();
+      }
+      // Verification only needs the predicate, so Algorithm 1 may stop
+      // as soon as theta is reached.
+      if (computer.Approx(s_records[si], t_records[ti], theta_) >= theta_) {
+        worker_pairs[worker].emplace_back(si, ti);
+      }
+    }
+  });
+  std::vector<std::pair<uint32_t, uint32_t>> verified;
+  for (const auto& wp : worker_pairs) {
+    verified.insert(verified.end(), wp.begin(), wp.end());
   }
   // Deterministic output regardless of the worker split.
-  std::sort(result->pairs.begin(), result->pairs.end());
-  result->stats.verify_seconds += timer.Seconds();
-  result->stats.results = result->pairs.size();
+  std::sort(verified.begin(), verified.end());
+  return verified;
 }
 
 JoinResult UnifiedJoin(const JoinContext& context,
@@ -228,7 +235,14 @@ JoinResult UnifiedJoin(const JoinContext& context,
   result.stats.candidates = filtered.candidates.size();
   result.stats.avg_signature_pebbles = filtered.avg_signature_pebbles;
 
-  VerifyCandidates(context, options, filtered.candidates, &result);
+  WallTimer timer;
+  CandidateVerifier verifier(context, options.usim, options.theta,
+                             options.cache_evict_threshold,
+                             options.num_threads);
+  result.pairs = verifier.Verify(filtered.candidates, 0,
+                                 filtered.candidates.size());
+  result.stats.verify_seconds = timer.Seconds();
+  result.stats.results = result.pairs.size();
   return result;
 }
 

@@ -143,8 +143,9 @@ class JoinContext {
 
   /// Runs signature selection + candidate generation. `s_subset` /
   /// `t_subset` restrict to record indexes (used by the Bernoulli
-  /// sampler); nullptr means the whole collection. For self-joins,
-  /// candidates are emitted with first < second. `num_threads` follows
+  /// sampler); nullptr means the whole collection. Candidates come back
+  /// sorted by (s, t), independent of the worker split; for self-joins
+  /// they have first < second. `num_threads` follows
   /// JoinOptions::num_threads semantics.
   FilterOutput RunFilter(const SignatureOptions& sig_options,
                          const std::vector<uint32_t>* s_subset = nullptr,
@@ -157,15 +158,35 @@ class JoinContext {
   std::shared_ptr<const PreparedIndex> index_;
 };
 
+/// Algorithm 1 verification of candidate pairs across worker threads —
+/// the one verify loop of the unified join, shared by UnifiedJoin and
+/// the engine's streaming "unified" algorithm. Holds one UsimComputer
+/// (and gram cache) per worker, built once and reused across every
+/// chunk and Verify call under the ParallelFor worker-index contract.
+class CandidateVerifier {
+ public:
+  /// `usim`'s msim sub-options are overridden by the context's.
+  /// `num_threads` follows JoinOptions::num_threads semantics.
+  CandidateVerifier(const JoinContext& context, const UsimOptions& usim,
+                    double theta, size_t cache_evict_threshold,
+                    int num_threads);
+
+  /// Verifies candidates[begin, end) and returns the pairs with
+  /// Approx >= theta, sorted by (s, t) whatever the worker split.
+  std::vector<std::pair<uint32_t, uint32_t>> Verify(
+      const std::vector<std::pair<uint32_t, uint32_t>>& candidates,
+      size_t begin, size_t end);
+
+ private:
+  const JoinContext& context_;
+  double theta_;
+  size_t cache_evict_threshold_;
+  /// MsimEvaluator is not thread-safe, hence one computer per worker.
+  std::vector<std::unique_ptr<UsimComputer>> computers_;
+};
+
 /// Runs the full filter-and-verification join over a prepared context.
 JoinResult UnifiedJoin(const JoinContext& context, const JoinOptions& options);
-
-/// Verifies candidate pairs with Algorithm 1 and appends survivors to
-/// `result`. Exposed so benches can time verification separately.
-void VerifyCandidates(
-    const JoinContext& context, const JoinOptions& options,
-    const std::vector<std::pair<uint32_t, uint32_t>>& candidates,
-    JoinResult* result);
 
 }  // namespace aujoin
 

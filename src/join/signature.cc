@@ -297,6 +297,13 @@ Signature SelectSignature(const RecordPebbles& rp, size_t num_tokens,
   std::sort(sig.keys.begin(), sig.keys.end());
   sig.keys.erase(std::unique(sig.keys.begin(), sig.keys.end()),
                  sig.keys.end());
+  // The same count-merge can witness at most keys.size() overlaps, but
+  // the boundary search above counts pebbles: a prefix that repeats a
+  // key (a short record with a repeated gram) would otherwise demand
+  // more distinct shared keys than the record itself holds, leaving it
+  // unreachable even from its own duplicate.
+  sig.effective_tau = std::min(
+      sig.effective_tau, std::max(1, static_cast<int>(sig.keys.size())));
   return sig;
 }
 

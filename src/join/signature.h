@@ -38,7 +38,8 @@ struct SignatureOptions {
 /// requested tau — Lemma 2 presupposes one — so the selection lowers tau
 /// until a boundary exists (tau' = 1 is always feasible). The join then
 /// requires min(effective_tau_S, effective_tau_T) overlaps per pair,
-/// which keeps the filter lossless.
+/// which keeps the filter lossless. Overlaps are counted over distinct
+/// keys, so effective_tau is also capped at max(1, keys.size()).
 struct Signature {
   size_t prefix_len = 0;
   int effective_tau = 1;

@@ -66,22 +66,32 @@ void ThreadPool::ParallelFor(
     fn(0, n, 0);
     return;
   }
+  // One task per worker index, each pulling chunks from a shared cursor
+  // until the range is exhausted: a slowed thread or a run of costly
+  // items holds up at most one chunk, not a 1/workers share of the
+  // range. Several chunks per worker keep the tail short; the cap on
+  // chunk count keeps cursor traffic negligible next to the items.
+  constexpr size_t kChunksPerWorker = 32;
+  const size_t grain =
+      std::max<size_t>(1, n / (workers * kChunksPerWorker));
   // Private completion state: WaitIdle would also wait on unrelated
-  // queued tasks, so each loop tracks its own chunks.
+  // queued tasks, so each loop tracks its own workers.
   struct LoopState {
+    std::atomic<size_t> next{0};
     std::mutex mutex;
     std::condition_variable done_cv;
-    size_t remaining;
+    size_t remaining = 0;
   };
   auto state = std::make_shared<LoopState>();
-  size_t chunk = (n + workers - 1) / workers;
-  size_t chunks = 0;
-  for (size_t begin = 0; begin < n; begin += chunk) ++chunks;
-  state->remaining = chunks;
-  for (size_t w = 0, begin = 0; begin < n; ++w, begin += chunk) {
-    size_t end = std::min(n, begin + chunk);
-    Submit([&fn, state, begin, end, w] {
-      fn(begin, end, static_cast<int>(w));
+  state->remaining = workers;
+  for (size_t w = 0; w < workers; ++w) {
+    Submit([&fn, state, n, grain, w] {
+      for (;;) {
+        const size_t begin =
+            state->next.fetch_add(grain, std::memory_order_relaxed);
+        if (begin >= n) break;
+        fn(begin, std::min(n, begin + grain), static_cast<int>(w));
+      }
       std::lock_guard<std::mutex> lock(state->mutex);
       if (--state->remaining == 0) state->done_cv.notify_all();
     });

@@ -50,10 +50,22 @@ class ThreadPool {
   /// Blocks until the queue is empty and every worker is idle.
   void WaitIdle();
 
-  /// Runs fn(begin, end, chunk_index) over [0, n) split into contiguous
-  /// chunks, one per worker, and blocks until all chunks finish. Safe to
-  /// call while unrelated tasks are queued; chunk indexes are dense in
-  /// [0, num_workers()).
+  /// Runs fn(begin, end, worker) over [0, n) and blocks until the whole
+  /// range is done. The range is cut into small contiguous chunks
+  /// (about 32 per worker; the grain is derived from n and the worker
+  /// count) handed out dynamically from a shared cursor, so skewed
+  /// per-item costs do not idle workers. The contract callers rely on:
+  ///   - every index in [0, n) is passed in exactly one chunk, and
+  ///     chunks are disjoint;
+  ///   - fn may be called several times with the same worker index, on
+  ///     different chunks, in no particular order;
+  ///   - worker indexes are dense in [0, min(num_workers(), n)), and a
+  ///     worker index is used by one thread at a time, so per-worker
+  ///     state (scratch, output lists, non-thread-safe caches) indexed
+  ///     by it needs no locking.
+  /// Which chunks a worker gets depends on timing: outputs collected
+  /// per worker must be put in a canonical order (e.g. sorted) by the
+  /// caller. Safe to call while unrelated tasks are queued.
   void ParallelFor(size_t n,
                    const std::function<void(size_t, size_t, int)>& fn);
 
@@ -71,12 +83,14 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Runs fn(begin, end, worker_index) over [0, n) split into contiguous
-/// chunks, one per worker. Blocks until all workers finish. With one
-/// worker (or tiny n) the call runs inline — no thread is spawned, which
-/// keeps single-threaded paths allocation-free and easy to debug. Larger
-/// runs delegate to a transient ThreadPool; long-lived callers that fan
-/// out repeatedly should hold their own pool and use
+/// Runs fn(begin, end, worker_index) over [0, n) under the
+/// ThreadPool::ParallelFor contract (dynamically scheduled chunks; a
+/// worker index may see several chunks but is never used by two
+/// threads at once). Blocks until the range is done. With one worker
+/// (or n == 1) the call runs inline as fn(0, n, 0) — no thread is
+/// spawned, which keeps single-threaded paths allocation-free and easy
+/// to debug. Larger runs delegate to a transient ThreadPool; long-lived
+/// callers that fan out repeatedly should hold their own pool and use
 /// ThreadPool::ParallelFor to amortise thread creation.
 void ParallelFor(size_t n, int num_threads,
                  const std::function<void(size_t, size_t, int)>& fn);

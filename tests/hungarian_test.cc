@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -114,6 +115,42 @@ TEST_P(HungarianRandomTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HungarianRandomTest,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+TEST(HungarianTest, ScratchReuseAcrossShapesMatchesBruteForce) {
+  // The solver's arrays are reused across calls on one thread: a large
+  // call followed by smaller and rectangular ones (and back) must not
+  // see stale potentials, matches or path pointers.
+  Rng rng(17);
+  auto random_matrix = [&](size_t rows, size_t cols) {
+    std::vector<std::vector<double>> w(rows, std::vector<double>(cols));
+    for (auto& row : w) {
+      for (auto& cell : row) cell = rng.UniformReal();
+    }
+    return w;
+  };
+  const std::vector<std::vector<std::vector<double>>> sequence{
+      random_matrix(7, 7),
+      random_matrix(1, 2),
+      random_matrix(6, 8),
+      std::vector<std::vector<double>>(5, std::vector<double>(5, 0.0)),
+      random_matrix(2, 1),
+      random_matrix(8, 5),
+      std::vector<std::vector<double>>(3, std::vector<double>(7, 0.0)),
+      random_matrix(1, 1),
+      random_matrix(7, 6),
+  };
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& w : sequence) {
+      EXPECT_NEAR(MaxWeightBipartiteMatching(w), BruteForce(w), 1e-9)
+          << w.size() << "x" << w[0].size();
+      // The flat overload shares the scratch and must agree exactly.
+      std::vector<double> flat;
+      for (const auto& row : w) flat.insert(flat.end(), row.begin(), row.end());
+      EXPECT_EQ(MaxWeightBipartiteMatching(flat.data(), w.size(), w[0].size()),
+                MaxWeightBipartiteMatching(w));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace aujoin

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/engine.h"
 #include "datagen/corpus_gen.h"
 #include "datagen/synonym_gen.h"
 #include "datagen/taxonomy_gen.h"
@@ -227,6 +228,63 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(FilterMethod::kAuHeuristic, 4),
         std::make_tuple(FilterMethod::kAuDp, 2),
         std::make_tuple(FilterMethod::kAuDp, 4)));
+
+// Dynamically scheduled verification must not leak the worker split
+// into results: a 1-thread and a 4-thread unified join of the same
+// generated corpus return identical, sorted pairs through both verify
+// entry points (UnifiedJoin and the engine's streaming algorithm, whose
+// small batches give every worker several chunks per batch), and the
+// filter returns the same sorted candidate list.
+TEST(ThreadedVerifyParityTest, OneAndFourThreadsJoinIdentically) {
+  Vocabulary vocab;
+  Taxonomy taxonomy = GenerateTaxonomy({.num_nodes = 300}, &vocab);
+  RuleSet rules = GenerateSynonyms({.num_rules = 150}, taxonomy, &vocab);
+  Knowledge knowledge{&vocab, &rules, &taxonomy};
+  CorpusProfile profile;
+  profile.num_strings = 150;
+  profile.seed = 91;
+  CorpusGenerator gen(&vocab, &taxonomy, &rules);
+  Corpus corpus = gen.Generate(profile, {.num_pairs = 40});
+
+  MsimOptions msim;
+  msim.q = 3;
+  JoinContext context(knowledge, msim);
+  context.Prepare(corpus.records, nullptr);
+  SignatureOptions sig;
+  sig.theta = 0.8;
+  sig.tau = 2;
+  auto serial_candidates = context.RunFilter(sig, nullptr, nullptr, 1);
+  auto parallel_candidates = context.RunFilter(sig, nullptr, nullptr, 4);
+  EXPECT_EQ(serial_candidates.candidates, parallel_candidates.candidates);
+  EXPECT_TRUE(std::is_sorted(serial_candidates.candidates.begin(),
+                             serial_candidates.candidates.end()));
+  ASSERT_GT(serial_candidates.candidates.size(), 16u);
+
+  JoinOptions options;
+  options.theta = 0.8;
+  options.tau = 2;
+  options.num_threads = 1;
+  JoinResult serial = UnifiedJoin(context, options);
+  options.num_threads = 4;
+  JoinResult parallel = UnifiedJoin(context, options);
+  EXPECT_EQ(serial.pairs, parallel.pairs);
+  EXPECT_FALSE(serial.pairs.empty());
+  EXPECT_TRUE(std::is_sorted(serial.pairs.begin(), serial.pairs.end()));
+
+  for (int threads : {1, 4}) {
+    Engine engine = EngineBuilder()
+                        .SetKnowledge(knowledge)
+                        .SetQ(3)
+                        .SetThreads(threads)
+                        .SetStreamBatchSize(64)
+                        .Build();
+    engine.SetRecords(corpus.records);
+    Result<JoinResult> joined =
+        engine.Join("unified", {.theta = 0.8, .tau = 2});
+    ASSERT_TRUE(joined.ok());
+    EXPECT_EQ(joined->pairs, serial.pairs) << threads << " threads";
+  }
+}
 
 }  // namespace
 }  // namespace aujoin

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/engine.h"
 #include "index/global_order.h"
 #include "join/signature.h"
 #include "test_fixtures.h"
@@ -165,6 +166,63 @@ TEST_F(SignatureTest, EmptyRecordYieldsEmptySignature) {
   Signature sig = SelectSignature(prepared[0], 0, opts);
   EXPECT_EQ(sig.prefix_len, 0u);
   EXPECT_TRUE(sig.keys.empty());
+}
+
+// A short record whose kept prefix repeats a gram: at q = 3 "blobechi
+// loblo" shares "blo" and "lob" between its tokens, so at theta 0.95 /
+// tau 4 the prefix holds 4 pebbles but only 3 distinct keys. The
+// count-merge counts distinct keys, so a required overlap of 4 made the
+// record unreachable even from an exact duplicate of itself.
+constexpr const char* kRepeatedGramText = "blobechi loblo";
+
+TEST(SignatureRepeatedKeyTest, EffectiveTauNeverExceedsDistinctKeys) {
+  Figure1World world;
+  MsimOptions msim;
+  msim.q = 3;
+  Vocabulary gram_dict;
+  PebbleGenerator generator(world.knowledge(), msim);
+  Record record = world.MakeRec(0, kRepeatedGramText);
+  std::vector<RecordPebbles> prepared{generator.Generate(record, &gram_dict)};
+  GlobalOrder order;
+  order.CountCollection(prepared);
+  order.Finalize();
+  order.SortPebbles(&prepared[0]);
+  SignatureOptions opts;
+  opts.theta = 0.95;
+  opts.tau = 4;
+  Signature sig = SelectSignature(prepared[0], record.num_tokens(), opts);
+  // The case this test exists for: the prefix repeats a key.
+  EXPECT_LT(sig.keys.size(), sig.prefix_len);
+  EXPECT_GE(sig.effective_tau, 1);
+  EXPECT_LE(sig.effective_tau, static_cast<int>(sig.keys.size()));
+}
+
+TEST(SignatureRepeatedKeyTest, RecordWithRepeatedGramIsFoundAndJoined) {
+  Figure1World world;
+  std::vector<Record> records{world.MakeRec(0, "espresso cafe helsinki"),
+                              world.MakeRec(1, kRepeatedGramText),
+                              world.MakeRec(2, "latte coffee shop"),
+                              world.MakeRec(3, kRepeatedGramText)};
+  Engine engine = EngineBuilder()
+                      .SetKnowledge(world.knowledge())
+                      .SetMeasures("TJS")
+                      .SetQ(3)
+                      .Build();
+  engine.SetRecords(records);
+
+  EngineSearchOptions search;
+  search.theta = 0.95;
+  search.tau = 4;
+  auto matches = engine.Search(world.MakeRec(9, kRepeatedGramText), search);
+  ASSERT_TRUE(matches.ok());
+  std::vector<uint32_t> ids;
+  for (const auto& m : *matches) ids.push_back(m.id);
+  EXPECT_EQ(ids, (std::vector<uint32_t>{1, 3}));
+
+  auto joined = engine.Join("unified", {.theta = 0.95, .tau = 4});
+  ASSERT_TRUE(joined.ok());
+  EXPECT_EQ(joined->pairs,
+            (std::vector<std::pair<uint32_t, uint32_t>>{{1, 3}}));
 }
 
 }  // namespace

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/hungarian.h"
 #include "core/pair_graph.h"
 #include "core/squareimp.h"
 #include "core/usim.h"
+#include "datagen/corpus_gen.h"
+#include "datagen/synonym_gen.h"
+#include "datagen/taxonomy_gen.h"
 #include "test_fixtures.h"
 #include "util/rng.h"
 
@@ -255,6 +259,156 @@ TEST(UsimPropertyTest, ApproxNeverExceedsExact) {
     EXPECT_LE(exact.value, 1.0 + 1e-9);
   }
 }
+
+// ---- msim memo parity: memoised scoring vs a memo-free reference.
+
+// SIM(PS, PT) of Eq. (6) without any memo: a fresh MsimEvaluator scores
+// every cell of the partition pair's matrix.
+double ReferenceSimOfPartitions(const Knowledge& knowledge,
+                                const MsimOptions& msim, const Record& s,
+                                const Record& t,
+                                const std::vector<WellDefinedSegment>& s_segs,
+                                const std::vector<WellDefinedSegment>& t_segs,
+                                const std::vector<uint32_t>& ps,
+                                const std::vector<uint32_t>& pt) {
+  if (ps.empty() || pt.empty()) return 0.0;
+  MsimEvaluator fresh(knowledge, msim);
+  std::vector<std::vector<double>> w(ps.size(), std::vector<double>(pt.size()));
+  for (size_t i = 0; i < ps.size(); ++i) {
+    for (size_t j = 0; j < pt.size(); ++j) {
+      w[i][j] = fresh.Msim(s, s_segs[ps[i]], t, t_segs[pt[j]]);
+    }
+  }
+  return MaxWeightBipartiteMatching(w) /
+         static_cast<double>(std::max(ps.size(), pt.size()));
+}
+
+// The partition an independent set induces on one side, in GetSim's
+// order: selected segments first, then uncovered tokens' singletons.
+std::vector<uint32_t> ReferenceInducedPartition(
+    const std::vector<WellDefinedSegment>& segs, size_t num_tokens,
+    const std::vector<uint32_t>& selected) {
+  std::vector<char> covered(num_tokens, 0);
+  std::vector<uint32_t> partition;
+  for (uint32_t seg : selected) {
+    partition.push_back(seg);
+    for (uint32_t p = segs[seg].span.begin; p < segs[seg].span.end; ++p) {
+      covered[p] = 1;
+    }
+  }
+  for (uint32_t p = 0; p < num_tokens; ++p) {
+    if (covered[p]) continue;
+    for (uint32_t i = 0; i < segs.size(); ++i) {
+      if (segs[i].span.begin == p && segs[i].span.SingleToken()) {
+        partition.push_back(i);
+      }
+    }
+  }
+  return partition;
+}
+
+// A random maximal independent set of g (vertices tried in random order).
+std::vector<uint32_t> RandomIndependentSet(const PairGraph& g, Rng* rng) {
+  std::vector<uint32_t> order(g.num_vertices());
+  for (uint32_t v = 0; v < order.size(); ++v) order[v] = v;
+  rng->Shuffle(&order);
+  std::vector<uint32_t> set;
+  for (uint32_t v : order) {
+    bool free = true;
+    for (uint32_t u : set) free = free && !g.Conflicts(u, v);
+    if (free) set.push_back(v);
+  }
+  return set;
+}
+
+class UsimMemoParityTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(UsimMemoParityTest, GetSimAndExactMatchMemoFreeReference) {
+  const uint64_t seed = GetParam();
+  Vocabulary vocab;
+  Taxonomy taxonomy =
+      GenerateTaxonomy({.num_nodes = 200, .seed = seed}, &vocab);
+  RuleSet rules =
+      GenerateSynonyms({.num_rules = 150, .seed = seed + 7}, taxonomy, &vocab);
+  Knowledge knowledge{&vocab, &rules, &taxonomy};
+  CorpusProfile profile;
+  profile.num_strings = 30;
+  profile.min_tokens = 2;
+  profile.avg_tokens = 4;
+  profile.max_tokens = 6;
+  profile.seed = seed + 13;
+  CorpusGenerator gen(&vocab, &taxonomy, &rules);
+  Corpus corpus = gen.Generate(profile, {.num_pairs = 10, .seed = seed + 21});
+  const std::vector<Record>& records = corpus.records;
+
+  MsimOptions msim;
+  msim.q = 3;
+  UsimOptions usim;
+  usim.msim = msim;
+  // One computer across every pair: the memo must be reset per pair.
+  UsimComputer computer(knowledge, usim);
+  Rng rng(seed);
+  std::vector<std::pair<uint32_t, uint32_t>> pairs = corpus.truth_pairs;
+  for (int k = 0; k < 20; ++k) {
+    pairs.emplace_back(
+        static_cast<uint32_t>(rng.Uniform(0, records.size() - 1)),
+        static_cast<uint32_t>(rng.Uniform(0, records.size() - 1)));
+  }
+  size_t scored_sets = 0, exact_checked = 0;
+  for (const auto& [a, b] : pairs) {
+    const Record& s = records[a];
+    const Record& t = records[b];
+    PairGraph g = BuildPairGraph(s, t, computer.evaluator(), usim.graph);
+    for (int k = 0; k < 4; ++k) {
+      std::vector<uint32_t> mis = RandomIndependentSet(g, &rng);
+      std::vector<uint32_t> s_sel, t_sel;
+      for (uint32_t v : mis) {
+        s_sel.push_back(g.vertices[v].s_segment);
+        t_sel.push_back(g.vertices[v].t_segment);
+      }
+      double expected = ReferenceSimOfPartitions(
+          knowledge, msim, s, t, g.s_segments, g.t_segments,
+          ReferenceInducedPartition(g.s_segments, s.num_tokens(), s_sel),
+          ReferenceInducedPartition(g.t_segments, t.num_tokens(), t_sel));
+      EXPECT_EQ(computer.GetSim(s, t, g, mis), expected)
+          << "pair (" << a << ", " << b << ")";
+      ++scored_sets;
+    }
+    // Interleave Approx so Exact follows a memo filled for the same pair
+    // from graph weights, and the next GetSim one filled by Exact.
+    computer.Approx(s, t);
+
+    ExactOptions limits;
+    limits.max_partitions_per_string = 64;
+    limits.max_pairs = 4096;
+    UsimComputer::ExactResult exact = computer.Exact(s, t, limits);
+    std::vector<WellDefinedSegment> s_segs = EnumerateSegments(s, knowledge);
+    std::vector<WellDefinedSegment> t_segs = EnumerateSegments(t, knowledge);
+    bool trunc = false;
+    auto ps_all = EnumeratePartitions(s_segs, s.num_tokens(),
+                                      limits.max_partitions_per_string,
+                                      &trunc);
+    auto pt_all = EnumeratePartitions(t_segs, t.num_tokens(),
+                                      limits.max_partitions_per_string,
+                                      &trunc);
+    if (!exact.exact) continue;  // capped: the value is a partial max
+    double expected = 0.0;
+    for (const auto& ps : ps_all) {
+      for (const auto& pt : pt_all) {
+        expected = std::max(expected,
+                            ReferenceSimOfPartitions(knowledge, msim, s, t,
+                                                     s_segs, t_segs, ps, pt));
+      }
+    }
+    EXPECT_EQ(exact.value, expected) << "pair (" << a << ", " << b << ")";
+    ++exact_checked;
+  }
+  EXPECT_GT(scored_sets, 0u);
+  EXPECT_GT(exact_checked, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, UsimMemoParityTest,
+                         ::testing::Values(1, 2, 3));
 
 }  // namespace
 }  // namespace aujoin

@@ -1,6 +1,9 @@
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -79,6 +82,67 @@ TEST(ParallelForTest, FreeFunctionMatchesSerialExecution) {
                 });
     for (int h : hits) EXPECT_EQ(h, 1);
   }
+}
+
+// Runs `parallel_for` over n items whose cost is skewed (the first
+// eighth costs ~100x the rest, as a run of long records does in
+// verification) and checks the ParallelFor contract: every index in
+// exactly one chunk, disjoint chunks, worker indexes in range, and no
+// worker index in use on two threads at once.
+template <typename ParallelForFn>
+void CheckSkewedParallelFor(size_t n, int workers,
+                            const ParallelForFn& parallel_for) {
+  std::vector<std::atomic<int>> hits(n);
+  std::vector<std::atomic<int>> in_use(workers);
+  std::atomic<bool> shared_worker{false};
+  std::atomic<bool> bad_worker{false};
+  std::mutex mutex;
+  std::vector<std::pair<size_t, size_t>> chunks;
+  parallel_for([&](size_t begin, size_t end, int worker) {
+    if (worker < 0 || worker >= workers) {
+      bad_worker = true;
+      return;
+    }
+    if (in_use[worker].fetch_add(1) != 0) shared_worker = true;
+    for (size_t i = begin; i < end; ++i) {
+      volatile uint64_t sink = 0;
+      const int spins = i < n / 8 ? 100000 : 1000;
+      for (int k = 0; k < spins; ++k) sink = sink + static_cast<uint64_t>(k);
+      ++hits[i];
+    }
+    in_use[worker].fetch_sub(1);
+    std::lock_guard<std::mutex> lock(mutex);
+    chunks.emplace_back(begin, end);
+  });
+  EXPECT_FALSE(bad_worker.load());
+  EXPECT_FALSE(shared_worker.load());
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  std::sort(chunks.begin(), chunks.end());
+  size_t next = 0;
+  for (const auto& [begin, end] : chunks) {
+    EXPECT_EQ(begin, next);  // disjoint and gap-free
+    EXPECT_LT(begin, end);
+    next = end;
+  }
+  EXPECT_EQ(next, n);
+  // Dynamic scheduling: more chunks than workers.
+  EXPECT_GT(chunks.size(), static_cast<size_t>(workers));
+}
+
+TEST(ThreadPoolTest, ParallelForUnderSkewedCostKeepsTheContract) {
+  ThreadPool pool(4);
+  CheckSkewedParallelFor(
+      1000, pool.num_workers(),
+      [&](const std::function<void(size_t, size_t, int)>& fn) {
+        pool.ParallelFor(1000, fn);
+      });
+}
+
+TEST(ParallelForTest, FreeFunctionUnderSkewedCostKeepsTheContract) {
+  CheckSkewedParallelFor(
+      777, 4, [&](const std::function<void(size_t, size_t, int)>& fn) {
+        ParallelFor(777, 4, fn);
+      });
 }
 
 TEST(ParallelForTest, ZeroItemsIsANoOp) {
